@@ -2,10 +2,10 @@
 
 Not a paper figure — this measures the *harness itself* (see Becker et al.
 on unmeasured emulation overhead corrupting reproduction claims).  It runs
-the fig5 ping-pong, fig8a streaming, and fig8b 8-sink workloads on both the
-fast and the legacy engine, prints a comparison table, and appends the
-record to ``BENCH_wallclock.json`` so the perf trajectory is tracked across
-PRs.
+the fig5 ping-pong, fig8a streaming, and fig8b 8-sink workloads on the fast
+engine and the engine-churn microbenchmark on both the fast and the legacy
+engine, prints a table, and appends the record to ``BENCH_wallclock.json``
+so the perf trajectory is tracked across PRs.
 
 Run directly (not collected by the tier-1 suite)::
 
@@ -34,18 +34,13 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", metavar="PATH", default="BENCH_wallclock.json",
                         help="perf-trajectory report to append to")
-    parser.add_argument("--no-legacy", action="store_true",
-                        help="skip the legacy-engine comparison runs")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        help="exit non-zero if the fig8a events/sec speedup "
-                             "over the legacy engine falls below this")
     parser.add_argument("--min-churn-speedup", type=float, default=None,
                         help="exit non-zero if the engine-churn events/sec "
                              "speedup falls below this")
     parser.add_argument("--reps", type=int, default=3,
                         help="repetitions per measurement (best wall kept)")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="shard the (workload, engine) measurements "
+                        help="shard the paper-workload measurements "
                              "across N worker processes; keep N at or below "
                              "the free core count so wall clocks stay clean")
     parser.add_argument("--trajectory", action="store_true",
@@ -73,38 +68,23 @@ def main(argv=None):
             print(line)
         return 0 if ok else 1
 
-    record = run_suite(full=args.full, seed=args.seed,
-                       compare_legacy=not args.no_legacy, reps=args.reps,
+    record = run_suite(full=args.full, seed=args.seed, reps=args.reps,
                        workers=args.workers)
     for line in summary_lines(record):
         print(line)
     write_report(record, path=args.json)
     print("perf record appended to %s" % args.json)
 
-    if not args.no_legacy:
-        mismatched = [
-            name for name, entry in record["suite"].items()
-            if "results_close" in entry and not entry["results_close"]
-        ]
-        if mismatched:
-            print("ERROR: stacks disagree on simulated results: %s" % mismatched)
+    churn = record["suite"]["engine_churn"]
+    if not churn["identical_stream"]:
+        print("ERROR: engines diverged on the churn event stream")
+        return 1
+    if args.min_churn_speedup is not None:
+        speedup = churn["speedup_events_per_sec"]
+        if speedup < args.min_churn_speedup:
+            print("ERROR: engine-churn events/sec speedup %.2fx < "
+                  "required %.2fx" % (speedup, args.min_churn_speedup))
             return 1
-        churn = record["suite"]["engine_churn"]
-        if not churn["identical_stream"]:
-            print("ERROR: engines diverged on the churn event stream")
-            return 1
-        if args.min_speedup is not None:
-            speedup = record["suite"]["fig8a_streaming"]["speedup_events_per_sec"]
-            if speedup < args.min_speedup:
-                print("ERROR: fig8a events/sec speedup %.2fx < required %.2fx"
-                      % (speedup, args.min_speedup))
-                return 1
-        if args.min_churn_speedup is not None:
-            speedup = churn["speedup_events_per_sec"]
-            if speedup < args.min_churn_speedup:
-                print("ERROR: engine-churn events/sec speedup %.2fx < "
-                      "required %.2fx" % (speedup, args.min_churn_speedup))
-                return 1
     return 0
 
 

@@ -6,27 +6,14 @@ messages, sinks, and sweeps a run can afford.  This module measures it on a
 fixed suite of paper workloads and records the trajectory in
 ``BENCH_wallclock.json`` so perf regressions are visible PR over PR.
 
-Each workload runs in two configurations:
-
-``fast``
-    The overhauled stack: tuple-heap engine with zero-delay lane
-    (:class:`repro.simnet.Simulator`), inline-dispatch process
-    trampolines, coalesced datapath charges, pending-checked polling.
-
-``legacy``
-    The full pre-overhaul stack: object-per-event engine
-    (:class:`repro.simnet.legacy.LegacySimulator` with
-    ``legacy_stack=True``), apply-dispatch trampolines, one Timeout per
-    pipeline stage, unconditional polling passes.
-
-The two configurations intentionally execute *different event streams*
-(coalescing removes events and reorders rng draws), so their simulated
-results are compared within a small tolerance here.  The bit-identical
-determinism guarantee is separate and stricter: the fast engine versus the
-legacy *engine* running the same fast stack must agree exactly — that is
-asserted by the golden-trace tests in ``tests/simnet/test_determinism.py``
-and is available here as ``run_workload(..., engine="legacy",
-stack="fast")``.
+The paper workloads run on the fast engine
+(:class:`repro.simnet.Simulator`).  The engine-churn microbenchmark runs
+on both the fast and the legacy engine
+(:class:`repro.simnet.legacy.LegacySimulator`): the two execute the
+identical event stream, so its speedup is a pure event-loop comparison.
+``run_workload(..., engine="legacy")`` runs a paper workload on the legacy
+engine; its simulated results must be bit-identical to the fast engine's
+(the golden-trace tests in ``tests/simnet/test_determinism.py``).
 
 Usage::
 
@@ -63,10 +50,6 @@ QUICK_MESSAGES = 3000
 FULL_ROUNDS = 2000
 FULL_MESSAGES = 20000
 
-#: relative tolerance when comparing simulated results across the two
-#: stacks (jitter draws interleave differently; medians barely move).
-RESULT_RTOL = 0.05
-
 #: repetitions per measurement in :func:`run_suite` — wall time is
 #: best-of-N because scheduler noise only ever adds time, never removes it.
 SUITE_REPS = 3
@@ -79,31 +62,26 @@ CHURN_BURST = 64
 CHURN_CANCEL_FRACTION = 0.25
 
 
-def run_workload(name, engine="fast", stack=None, rounds=QUICK_ROUNDS,
+def run_workload(name, engine="fast", rounds=QUICK_ROUNDS,
                  messages=QUICK_MESSAGES, profile="local", seed=0, reps=1):
-    """Run one suite workload on one engine/stack configuration.
+    """Run one suite workload on one engine.
 
-    ``engine`` picks the event loop; ``stack`` picks the surrounding
-    application-layer behaviour ("fast" or "legacy") and defaults to the
-    engine name.  ``(engine="legacy", stack="fast")`` is the golden-trace
-    configuration whose results must be bit-identical to the fast engine.
+    ``engine="legacy"`` is the golden-trace configuration: only the event
+    loop changes, so results must be bit-identical to the fast engine.
     ``reps`` repeats the whole run and keeps the fastest wall clock.
     """
     best = None
     for _ in range(max(1, reps)):
-        record = _run_workload_once(name, engine, stack, rounds, messages,
+        record = _run_workload_once(name, engine, rounds, messages,
                                     profile, seed)
         if best is None or record["wall_s"] < best["wall_s"]:
             best = record
     return best
 
 
-def _run_workload_once(name, engine, stack, rounds, messages, profile, seed):
+def _run_workload_once(name, engine, rounds, messages, profile, seed):
     spec = SUITE[name]
-    stack = stack or engine
     sim = ENGINES[engine](seed=seed)
-    if stack == "legacy":
-        sim.legacy_stack = True
     testbed = Testbed(PROFILES[profile], hosts=2, seed=seed, sim=sim)
     app = InsaneBenchApp(testbed, "fast")
     wall_start = time.perf_counter()
@@ -122,7 +100,6 @@ def _run_workload_once(name, engine, stack, rounds, messages, profile, seed):
     return {
         "workload": name,
         "engine": engine,
-        "stack": stack,
         "seed": seed,
         "wall_s": wall_s,
         "events": events,
@@ -232,7 +209,7 @@ def run_churn(engine="fast", events=CHURN_EVENTS, seed=0, reps=1):
     rescheduling (heap churn) and immediately-cancelled decoy timers
     (compaction coverage).  No processes, stores, or application code
     runs, so this isolates the per-event cost of the batched hot path —
-    the machinery the fig8a speedup dilutes with stack callback time (see
+    the machinery the paper workloads dilute with stack callback time (see
     the Amdahl decomposition in DESIGN.md).  Both engines execute the same
     stream — on the legacy engine every chain step is a normally-scheduled
     heap event, on the fast engine steps run inline when provably next —
@@ -267,7 +244,6 @@ def _run_churn_once(engine, events, seed):
     return {
         "workload": "engine_churn",
         "engine": engine,
-        "stack": engine,
         "seed": seed,
         "wall_s": wall_s,
         "events": executed,
@@ -280,93 +256,54 @@ def _run_churn_once(engine, events, seed):
     }
 
 
-def _close(a, b, rtol=RESULT_RTOL):
-    scale = max(abs(a), abs(b))
-    return scale == 0 or abs(a - b) <= rtol * scale
-
-
-def results_close(fast, legacy, rtol=RESULT_RTOL):
-    """Whether two runs' simulated outcomes agree within tolerance."""
-    if fast["failures"] or legacy["failures"]:
-        return False
-    fr, lr = fast["result"], legacy["result"]
-    if "median_rtt_ns" in fr:
-        return _close(fr["median_rtt_ns"], lr["median_rtt_ns"], rtol)
-    pairs = zip(fr["per_sink_gbps"], lr["per_sink_gbps"])
-    return len(fr["per_sink_gbps"]) == len(lr["per_sink_gbps"]) and all(
-        _close(f, l, rtol) for f, l in pairs
-    )
-
-
-def _speedups(entry, fast, legacy):
-    entry["speedup_events_per_sec"] = (
-        fast["events_per_sec"] / legacy["events_per_sec"]
-        if legacy["events_per_sec"] else 0.0
-    )
-    entry["speedup_wall"] = (
-        legacy["wall_s"] / fast["wall_s"] if fast["wall_s"] else 0.0
-    )
-
-
-def run_suite(full=False, seed=0, compare_legacy=True, reps=SUITE_REPS,
-              workers=1):
+def run_suite(full=False, seed=0, reps=SUITE_REPS, workers=1):
     """Run the whole suite; returns the record written to the report.
 
-    ``workers`` shards the (workload, engine) measurements across
-    processes via ``bench.perf`` sweep cells — each worker owns whole
-    cores, so per-measurement wall clocks stay meaningful.  Perf cells
-    are never cached: wall time is the measurement.
+    ``workers`` shards the paper-workload measurements across processes
+    via ``bench.perf`` sweep cells — each worker owns whole cores, so
+    per-measurement wall clocks stay meaningful.  Perf cells are never
+    cached: wall time is the measurement.
     """
     rounds = FULL_ROUNDS if full else QUICK_ROUNDS
     messages = FULL_MESSAGES if full else QUICK_MESSAGES
-    engines = ("fast", "legacy") if compare_legacy else ("fast",)
     measured = {}
     if workers > 1:
         from repro.parallel.cells import make_cell
         from repro.parallel.executor import SweepExecutor
 
         cells = [
-            make_cell("bench.perf", workload=name, engine=engine,
-                      rounds=rounds, messages=messages, seed=seed, reps=reps)
-            for name in SUITE for engine in engines
+            make_cell("bench.perf", workload=name, rounds=rounds,
+                      messages=messages, seed=seed, reps=reps)
+            for name in SUITE
         ]
         sweep = SweepExecutor(workers=workers).run(cells)
         for result in sweep.results:
-            params = result.cell["params"]
-            measured[(params["workload"], params["engine"])] = result.payload
+            measured[result.cell["params"]["workload"]] = result.payload
     else:
         for name in SUITE:
-            for engine in engines:
-                measured[(name, engine)] = run_workload(
-                    name, engine, rounds=rounds, messages=messages,
-                    seed=seed, reps=reps,
-                )
-    suite = {}
-    for name in SUITE:
-        fast = measured[(name, "fast")]
-        entry = {"fast": fast}
-        if compare_legacy:
-            legacy = measured[(name, "legacy")]
-            entry["legacy"] = legacy
-            _speedups(entry, fast, legacy)
-            # sanity cross-check: the two stacks model the same system, so
-            # their simulated outcomes must agree within jitter tolerance
-            # (exact bit-identity across *engines* is asserted by the
-            # golden-trace tests, on the same stack)
-            entry["results_close"] = results_close(fast, legacy)
-        suite[name] = entry
-    # the engine-only microbenchmark: no stack code, identical event stream
+            measured[name] = run_workload(
+                name, rounds=rounds, messages=messages, seed=seed, reps=reps,
+            )
+    suite = {name: {"fast": measured[name]} for name in SUITE}
+    # the engine-only microbenchmark: no stack code, and the identical
+    # event stream on both engines, so the speedup is the event loop's
     fast = run_churn("fast", seed=seed, reps=reps)
-    entry = {"fast": fast}
-    if compare_legacy:
-        legacy = run_churn("legacy", seed=seed, reps=reps)
-        entry["legacy"] = legacy
-        _speedups(entry, fast, legacy)
-        entry["identical_stream"] = (
+    legacy = run_churn("legacy", seed=seed, reps=reps)
+    suite["engine_churn"] = {
+        "fast": fast,
+        "legacy": legacy,
+        "speedup_events_per_sec": (
+            fast["events_per_sec"] / legacy["events_per_sec"]
+            if legacy["events_per_sec"] else 0.0
+        ),
+        "speedup_wall": (
+            legacy["wall_s"] / fast["wall_s"] if fast["wall_s"] else 0.0
+        ),
+        "identical_stream": (
             fast["events"] == legacy["events"]
             and fast["sim_ns"] == legacy["sim_ns"]
-        )
-    suite["engine_churn"] = entry
+        ),
+    }
     return {
         "mode": "full" if full else "quick",
         "seed": seed,
@@ -497,7 +434,7 @@ def check_ratchet(path="BENCH_wallclock.json",
     if not ok:
         lines.append(
             "ratchet: the batched hot path is likely not engaging — "
-            "profile with 'insane-bench profile --workload engine_churn' "
+            "profile with 'insane bench profile --workload engine_churn' "
             "(or set %s on a known-slow machine)" % RATCHET_SKIP_ENV
         )
     return ok, lines
@@ -573,9 +510,6 @@ def summary_lines(record):
                 name, engine, row["wall_s"], row["events"],
                 row["events_per_sec"] / 1e6, speedup,
             ))
-        if "results_close" in entry:
-            lines.append("%-18s %10s results_close=%s" % (
-                "", "", entry["results_close"]))
         if "identical_stream" in entry:
             lines.append("%-18s %10s identical_stream=%s" % (
                 "", "", entry["identical_stream"]))

@@ -59,8 +59,6 @@ class TokenRing:
         self.store = Store(sim, capacity=capacity, name=name)
         self.name = name
         self._half_ns = host.profile.stage("insane_ipc").cost(0, burst=1) / 2.0
-        #: pre-overhaul behaviour: recompute the stage cost per call
-        self._legacy = getattr(sim, "legacy_stack", False)
         self.enqueued = Counter(name + ".enqueued")
         self.rejected = Counter(name + ".rejected")
 
@@ -73,7 +71,7 @@ class TokenRing:
 
     def half_cost(self, burst=1):
         """The per-side CPU cost of one ring crossing."""
-        if burst == 1 and not self._legacy:
+        if burst == 1:
             return Timeout(self.host.jitter(self._half_ns))
         return Timeout(self.host.jitter(self.host.profile.stage("insane_ipc").cost(0, burst=burst) / 2.0))
 
@@ -88,12 +86,6 @@ class TokenRing:
     def enqueue_effect(self, token):
         """A ``Put`` effect that blocks the producer while the ring is full
         (backpressure rather than silent loss on the client side)."""
-        if self._legacy:
-            # verbatim pre-overhaul path: per-call import + increment()
-            from repro.simnet import Put as PutEffect
-
-            self.enqueued.value += 1
-            return PutEffect(self.store, token)
         self.enqueued.value += 1
         return Put(self.store, token)
 

@@ -35,18 +35,9 @@ class Host:
         #: fault-injection multiplier on every software cost (1.0 = nominal);
         #: models a thermally-throttled or noisy-neighbour CPU
         self._slowdown = 1.0
-        #: pre-overhaul behaviour: recompute costs and re-read rng/sigma
-        #: attributes per call, as the pre-change stack did (perf baseline)
-        self._legacy = getattr(sim, "legacy_stack", False)
 
     def jitter(self, cost_ns):
         """Apply the profile's CPU jitter to a software cost."""
-        if self._legacy:
-            sigma = self.profile.cpu_jitter
-            if sigma <= 0:
-                return cost_ns
-            factor = self.sim.rng.gauss(1.0, sigma)
-            return cost_ns * (factor if factor >= 0.5 else 0.5)
         if self._slowdown != 1.0:
             cost_ns *= self._slowdown
         sigma = self._cpu_sigma
@@ -72,9 +63,6 @@ class Host:
 
     def stage_cost(self, key, size, burst=1, jitter=True):
         """Cost of stage ``key`` for one packet of ``size`` bytes."""
-        if self._legacy:
-            cost = self.profile.stage(key).cost(size, burst=burst)
-            return self.jitter(cost) if jitter else cost
         cache_key = (key, size, burst)
         cost = self._stage_cache.get(cache_key)
         if cost is None:

@@ -141,13 +141,6 @@ class Simulator:
         :attr:`rng` so that a run is reproducible from its seed alone.
     """
 
-    #: When True, :meth:`process` builds pre-overhaul ``LegacyProcess``
-    #: trampolines and the datapath/polling layers revert to their
-    #: pre-overhaul behaviour (per-stage charges, unconditional poll
-    #: passes).  Only the perf harness sets this, to measure the full
-    #: pre-change stack; see :mod:`repro.simnet.legacy`.
-    legacy_stack = False
-
     #: Optional observer (see :class:`repro.obs.EngineObserver`) notified
     #: once per executed event via ``on_event(now)``.  A class attribute
     #: checked once per :meth:`run` call — with no observer installed the
@@ -280,10 +273,6 @@ class Simulator:
 
     def process(self, generator, name=None):
         """Start a cooperative process; see :mod:`repro.simnet.process`."""
-        if self.legacy_stack:
-            from repro.simnet.legacy import LegacyProcess
-
-            return LegacyProcess(self, generator, name=name)
         from repro.simnet.process import Process
 
         return Process(self, generator, name=name)

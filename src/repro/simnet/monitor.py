@@ -14,10 +14,9 @@ class Counter:
     """A named monotonically increasing counter.
 
     Hot-path idiom: bump with ``counter.value += 1`` directly — it is the
-    documented fast form and the one used everywhere outside the frozen
-    ``legacy_stack`` baseline paths (an attribute store is roughly half
-    the cost of a bound-method call).  :meth:`increment` remains as a
-    thin alias for cold paths and for callers that pass an ``amount``.
+    documented fast form (an attribute store is roughly half the cost of a
+    bound-method call).  :meth:`increment` remains as a thin alias for
+    cold paths and for callers that pass an ``amount``.
     """
 
     __slots__ = ("name", "value")

@@ -1,7 +1,10 @@
 """The differential oracle: fast vs legacy engine, bit for bit."""
 
+import shlex
+
 import pytest
 
+from repro.cli import main
 from repro.validate.canonical import CanonicalTrace
 from repro.validate.differential import (
     compare_spec,
@@ -42,8 +45,18 @@ class TestPerturbationSelfTest:
         assert checked == 1  # stops at the first divergence
         report = divergences[0].report()
         assert "first differing canonical event" in report
-        assert "repro: insane-validate repro --seed 0" in report
+        assert "repro: insane validate repro --seed 0" in report
         assert divergences[0].fast_line != divergences[0].legacy_line
+
+    def test_printed_repro_command_runs(self, capsys):
+        _checked, divergences = run_differential(
+            seed=0, n=1, perturb="insane_ipc=1.01"
+        )
+        line = next(line for line in divergences[0].report().splitlines()
+                    if line.strip().startswith("repro:"))
+        argv = shlex.split(line.split("repro:", 1)[1])
+        assert argv[0] == "insane"
+        assert main(argv[1:]) == 0
 
     def test_tiny_per_byte_perturbation_still_caught(self):
         checked, divergences = run_differential(
