@@ -13,18 +13,29 @@ positive, hence deadlock-free.
 
 Bit-identical correctness, not statistical equivalence: a boundary
 frame's arrival instant is the same float the serial run computes, the
-model draws no rng during simulation, and per-flow phase offsets keep
-event timestamps distinct city-wide, so event *timing* (the only thing
-the records capture) is independent of execution interleaving.  The
-merged records of a partitioned run therefore hash to the serial run's
-digest exactly — :func:`check_partition_equivalence` asserts it.
+model draws no rng during simulation, and each partition mints packet
+ids from its own slice.  The merged records of a partitioned run are
+meant to hash to the serial run's digest exactly —
+:func:`check_partition_equivalence` asserts it.  The sha256-derived
+per-flow phase offsets make equal event timestamps rare but do *not*
+rule them out, so heap tie-breaking can still matter: an injected
+boundary event and a local event at the same instant may run in a
+different order than in the serial run.  Open defect: metro1k at 16
+messages per flow, seed 507, diverges at 2 and 3 partitions because
+flows 390 and 683 swap delivery instants.
 
-Termination rides an explicit end-of-time horizon: the workload is
-finite and every queue residency is ceiling-bounded, so
-:func:`city_end_of_time` computes a provable upper bound on the last
-event; once a partition's floor creeps past it, the partition announces
-``+inf`` and finishes.  A real event at or beyond the horizon would be a
-bound bug and raises instead of silently diverging.
+Termination is quiescence of the whole cut, not a time horizon.  Every
+message also carries the sender's report ``(idle, sent, recv)``: whether
+its simulator has no pending event, and its cumulative boundary-frame
+counts per partition.  A partition that is idle itself, holds an idle
+report from every peer, and sees every ordered pair balance (``a``'s
+``sent[b]`` equals ``b``'s ``recv[a]``, each side from its own latest
+report) knows the run is over: an idle partition can only wake on a
+frame, and such a frame was either sent before its sender's report (the
+counts would not balance) or after it (the sender woke first — a chain
+that cannot descend forever).  It then announces ``+inf`` and finishes.
+:func:`city_end_of_time` stays as a tripwire: a real event at or beyond
+that provable bound raises instead of silently diverging.
 
 Two transports run the identical protocol:
 
@@ -40,6 +51,7 @@ import json
 import math
 import multiprocessing
 import queue as queue_mod
+import time
 import traceback
 from collections import deque
 
@@ -73,9 +85,9 @@ def city_end_of_time(spec):
     at most one rpc reply each), every queue residency is bounded (NIC
     backlog by total frames, switch queues by their admission ceilings,
     strict-priority starvation by total traffic through the port), so a
-    generous sum of worst cases bounds the horizon.  Null-message clocks
-    creep past this bound in ``horizon / lookahead`` exchanges and the
-    run terminates.
+    generous sum of worst cases bounds the horizon.  It is a tripwire
+    only: runs end at quiescence, and :meth:`PartitionRunner.floor`
+    raises if a partition ever holds an event at or past this bound.
     """
     from repro.hw.profiles import PROFILES
 
@@ -105,7 +117,7 @@ class PartitionRunner:
 
     Transport-agnostic: the drive loops (process worker, inline
     round-robin) own the channels and feed :meth:`receive` /
-    :meth:`flush` with plain ``(clock, frames)`` messages.
+    :meth:`flush` with plain ``(clock, frames, report)`` messages.
     """
 
     def __init__(self, spec, index, assignment, plan=None):
@@ -125,9 +137,18 @@ class PartitionRunner:
         self._owner = region_owner(assignment)
         #: latest clock announced BY each peer (our per-channel clocks)
         self.in_clock = {peer: 0.0 for peer in self.peers}
-        #: latest clock we announced TO each peer (monotone)
-        self.out_clock = {peer: 0.0 for peer in self.peers}
+        #: latest clock we announced to every peer (monotone)
+        self.out_clock = 0.0
         self._outbuf = {peer: [] for peer in self.peers}
+        #: cumulative boundary frames sent to / received from each
+        #: partition, indexed by partition (our own slot stays 0)
+        self.sent = [0] * len(assignment)
+        self.recv = [0] * len(assignment)
+        #: latest ``(idle, sent, recv)`` report from each peer
+        self.reports = {peer: None for peer in self.peers}
+        self._last_report = None
+        self.messages_sent = 0
+        self.blocked_s = 0.0
         self.done = False
 
     # -- packet-id bookkeeping (inline transport interleaves partitions
@@ -149,8 +170,24 @@ class PartitionRunner:
         """Highest time bound we may execute strictly below."""
         if not self.peers:
             return _INF
-        bound = min(self.in_clock.values())
-        return _INF if bound >= self.end_of_time else bound
+        return min(self.in_clock.values())
+
+    def quiescent(self):
+        """True once the whole cut is idle with no frame in flight.
+
+        Our own idleness and counts are current; every peer's come from
+        its latest report.  Sound for stale reports on FIFO channels —
+        see the module docstring.
+        """
+        if self.sim.peek() is not None:
+            return False
+        views = {self.index: (True, self.sent, self.recv)}
+        for peer, report in self.reports.items():
+            if report is None or not report[0]:
+                return False
+            views[peer] = report
+        return all(views[a][1][b] == views[b][2][a]
+                   for a in views for b in views if a != b)
 
     def floor(self):
         """Earliest instant this partition could still produce output."""
@@ -161,13 +198,15 @@ class PartitionRunner:
                 "end-of-time bound %.1f ns — city_end_of_time() is wrong"
                 % (self.index, nxt, self.end_of_time)
             )
+        if self.quiescent():
+            return _INF
         bound = self.safe()
         if nxt is None:
             return bound
         return nxt if nxt < bound else bound
 
     def receive(self, peer, message):
-        clock, frames = message
+        clock, frames, report = message
         for arrival, flow_id, k, is_reply in frames:
             if arrival < self.sim.now:
                 raise RuntimeError(
@@ -176,36 +215,45 @@ class PartitionRunner:
                     % (self.index, arrival, peer, self.sim.now)
                 )
             self.net.inject_boundary(arrival, flow_id, k, is_reply)
+        self.recv[peer] += len(frames)
+        self.reports[peer] = report
         if clock > self.in_clock[peer]:
             self.in_clock[peer] = clock
 
     def flush(self, send):
-        """Route pending boundary exports and announce fresh clocks.
+        """Route pending boundary exports, announce clocks and reports.
 
-        ``send(peer, (clock, frames))`` delivers on the ordered channel.
-        Returns True when anything was sent (the inline loop's progress
-        signal — clock creep alone is progress, it is what unblocks
-        peers).
+        ``send(peer, (clock, frames, report))`` delivers on the ordered
+        channel.  A peer gets a message when it has frames pending, when
+        our clock rose, or when our report changed.  Returns True when
+        anything was sent (the inline loop's progress signal — clock
+        creep alone is progress, it is what unblocks peers).
         """
         for dst_region, arrival, flow_id, k, is_reply in \
                 self.net.take_outbox():
             peer = self._owner[dst_region]
             self._outbuf[peer].append((arrival, flow_id, k, is_reply))
+            self.sent[peer] += 1
         here = self.floor()
         announce = _INF if here == _INF else here + self.lookahead
-        sent = False
+        clock_rose = announce > self.out_clock
+        if clock_rose:
+            self.out_clock = announce
+        report = (self.sim.peek() is None, tuple(self.sent),
+                  tuple(self.recv))
+        report_changed = report != self._last_report
+        self._last_report = report
+        sent_any = False
         for peer in self.peers:
             frames = self._outbuf[peer]
-            clock = announce if announce > self.out_clock[peer] \
-                else self.out_clock[peer]
-            if not frames and clock == self.out_clock[peer]:
+            if not frames and not clock_rose and not report_changed:
                 continue
             self._outbuf[peer] = []
-            self.out_clock[peer] = clock
             frames.sort()
-            send(peer, (clock, frames))
-            sent = True
-        return sent
+            send(peer, (self.out_clock, frames, report))
+            self.messages_sent += 1
+            sent_any = True
+        return sent_any
 
     def can_advance(self):
         nxt = self.sim.peek()
@@ -222,14 +270,12 @@ class PartitionRunner:
         if horizon > self.sim.now:
             self.sim.run(until=horizon)
 
-    def finished(self):
-        return self.sim.peek() is None and self.safe() == _INF
-
     def blocking_peer(self):
         """The peer whose channel clock gates progress (min, ties by id)."""
         return min(self.peers, key=lambda peer: (self.in_clock[peer], peer))
 
     def meta(self):
+        """Per-partition summary; the sync stats stay out of every digest."""
         return {
             "partition": self.index,
             "regions": sorted(self.owned),
@@ -238,6 +284,10 @@ class PartitionRunner:
             "now": self.sim.now,
             "seq_base": self.seq_base,
             "seq_last": self.seq_last,
+            "messages_sent": self.messages_sent,
+            "frames_sent": sum(self.sent),
+            "frames_received": sum(self.recv),
+            "blocked_s": self.blocked_s,
         }
 
 
@@ -251,7 +301,7 @@ def _drive(runner, recv_nowait, recv_block, send):
                     break
                 runner.receive(peer, message)
         runner.flush(send)
-        if runner.finished():
+        if runner.quiescent():
             runner.done = True
             return
         if runner.can_advance():
@@ -262,7 +312,10 @@ def _drive(runner, recv_nowait, recv_block, send):
                 runner.save_seq()
             continue
         peer = runner.blocking_peer()
-        runner.receive(peer, recv_block(peer))
+        started = time.perf_counter()
+        message = recv_block(peer)
+        runner.blocked_s += time.perf_counter() - started
+        runner.receive(peer, message)
 
 
 # -- process transport -----------------------------------------------------
@@ -386,7 +439,7 @@ def _run_inline(spec, assignment):
                     channels[(index, peer)].append(message)
             ):
                 progressed = True
-            if runner.finished():
+            if runner.quiescent():
                 runner.done = True
                 progressed = True
             elif runner.can_advance():
@@ -402,8 +455,9 @@ def _run_inline(spec, assignment):
                 for runner in runners
             )
             raise RuntimeError(
-                "inline partitioned run deadlocked (%s) — the lookahead "
-                "creep should make this impossible" % state
+                "inline partitioned run deadlocked (%s) — every round "
+                "must raise a clock, move a frame, or change a report "
+                "until the cut is quiescent" % state
             )
     return [(runner.net.records(), runner.meta()) for runner in runners]
 

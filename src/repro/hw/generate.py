@@ -202,9 +202,10 @@ def class_queue_ceilings(spec):
 def _phase_ns(seed, flow_id, interval_ns):
     """A full-double phase offset in ``[0, interval)`` from sha256.
 
-    53 effective random bits per flow keep event timestamps distinct
-    city-wide, so no two events ever tie at a shared contention point —
-    the property that makes partitioned execution order-insensitive.
+    53 effective random bits per flow make equal send instants unlikely,
+    but queueing can still bring two events to one instant at a shared
+    contention point, where heap tie-breaking decides the order — see
+    the open defect in :mod:`repro.dist.sync`.
     """
     digest = hashlib.sha256(b"city-phase:%d:%d" % (seed, flow_id)).digest()
     fraction = int.from_bytes(digest[:8], "big") / 2.0 ** 64

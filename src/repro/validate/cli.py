@@ -217,6 +217,14 @@ def _cmd_partitioned(args):
                "== serial" if run["digest"] == serial["digest"]
                else "DIVERGED")
         )
+        for meta in run["per_partition"]:
+            print(
+                "  p%d: events %d  messages %d  frames sent %d / "
+                "received %d  blocked %.3f s"
+                % (meta["partition"], meta["events"], meta["messages_sent"],
+                   meta["frames_sent"], meta["frames_received"],
+                   meta["blocked_s"])
+            )
     for problem in problems:
         print("  - %s" % problem)
     if args.json:

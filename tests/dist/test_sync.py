@@ -4,9 +4,13 @@ The headline assertion of :mod:`repro.dist`: running a generated city cut
 across partitions — in-process or across real worker processes — produces
 the *same* merged record digest as the serial run, bit for bit.  Everything
 else here guards the mechanisms that make that possible: disjoint
-packet-id spaces per partition, a provable simulation horizon, and a
-merge that refuses to paper over overlapping counters.
+packet-id spaces per partition, termination at quiescence (with a
+provable simulation horizon as a tripwire), and a merge that refuses to
+paper over overlapping counters.
 """
+
+import math
+import multiprocessing
 
 import pytest
 
@@ -17,7 +21,8 @@ from repro.dist import (
     run_city_partitioned,
     run_city_serial,
 )
-from repro.dist.sync import city_end_of_time
+from repro.dist.partition import partition_regions
+from repro.dist.sync import PartitionRunner, city_end_of_time
 from repro.hw.generate import resolve_topology
 from repro.netstack.packet import PARTITION_SEQ_STRIDE, partition_seq_base
 
@@ -75,6 +80,11 @@ class TestProcessTransportAcceptance:
         assert all(meta["events"] > 0 for meta in run["per_partition"])
         assert run["digest"] == reference["digest"]
         assert run["events"] == reference["events"]
+        metas = run["per_partition"]
+        assert sum(meta["frames_sent"] for meta in metas) \
+            == sum(meta["frames_received"] for meta in metas)
+        assert all(meta["blocked_s"] >= 0.0 for meta in metas)
+        assert multiprocessing.active_children() == []
 
 
 class TestSeqDisjointness:
@@ -94,6 +104,93 @@ class TestSeqDisjointness:
 
     def test_stride_leaves_headroom(self):
         assert PARTITION_SEQ_STRIDE == 1 << 48
+
+
+class TestQuiescentTermination:
+    @pytest.mark.parametrize("partitions", [2, 3, 4])
+    def test_run_ends_at_quiescence_not_at_the_horizon(self, partitions):
+        """A partitioned run stops once the cut is idle with nothing in
+        flight.  Null messages may creep one lookahead per exchange while
+        real events remain, but not on towards ``city_end_of_time``,
+        which lies far beyond the last event."""
+        spec = resolve_topology(TINY)
+        reference = run_city_serial(spec)
+        run = run_city_partitioned(spec, partitions, transport="inline")
+        assert run["digest"] == reference["digest"]
+        metas = run["per_partition"]
+        creep = math.ceil(reference["now"] / spec["trunk_propagation_ns"])
+        assert sum(meta["messages_sent"] for meta in metas) \
+            <= partitions * (partitions - 1) * (creep + 8)
+        assert sum(meta["frames_sent"] for meta in metas) \
+            == sum(meta["frames_received"] for meta in metas) > 0
+        assert all(meta["blocked_s"] == 0.0 for meta in metas)
+
+
+class TestValidateCli:
+    def test_prints_per_partition_sync_stats(self, capsys):
+        from repro.cli import main
+
+        assert main(["validate", "partitioned", "--topology", "smoke64",
+                     "--partitions", "2", "--transport", "inline"]) == 0
+        out = capsys.readouterr().out
+        for index in (0, 1):
+            line = next(line for line in out.splitlines()
+                        if line.startswith("  p%d: events " % index))
+            assert "messages " in line and "frames sent " in line
+            assert line.endswith("blocked 0.000 s")
+
+
+class TestQuiescenceSoundness:
+    """Hand-made reports fed to partition 0 of a 3-way TINY cut whose
+    own workload has already run dry: the run may end only when every
+    partition is idle and every channel is empty."""
+
+    @staticmethod
+    def idle_runner():
+        spec = resolve_topology(TINY)
+        runner = PartitionRunner(spec, 0,
+                                 partition_regions(spec["regions"], 3))
+        runner.sim.run()
+        runner.net.take_outbox()
+        assert runner.sim.peek() is None
+        return runner
+
+    @staticmethod
+    def report(runner, peer, sent, recv, idle=True):
+        runner.receive(peer, (1000.0, [], (idle, tuple(sent), tuple(recv))))
+
+    def test_idle_peer_with_a_frame_in_flight_is_not_quiescent(self):
+        runner = self.idle_runner()
+        # p1 sent p0 a frame that p0 has not received yet
+        self.report(runner, 1, sent=(1, 0, 0), recv=(0, 0, 0))
+        self.report(runner, 2, sent=(0, 0, 0), recv=(0, 0, 0))
+        assert not runner.quiescent()
+        assert runner.floor() == 1000.0
+
+    def test_stale_idle_report_with_unbalanced_pair_is_not_quiescent(self):
+        runner = self.idle_runner()
+        # p1 reports a frame sent to p2; p2's idle report predates it
+        self.report(runner, 1, sent=(0, 0, 1), recv=(0, 0, 0))
+        self.report(runner, 2, sent=(0, 0, 0), recv=(0, 0, 0))
+        assert not runner.quiescent()
+        assert runner.floor() < float("inf")
+
+    def test_busy_peer_is_not_quiescent(self):
+        runner = self.idle_runner()
+        self.report(runner, 1, sent=(0, 0, 0), recv=(0, 0, 0), idle=False)
+        self.report(runner, 2, sent=(0, 0, 0), recv=(0, 0, 0))
+        assert not runner.quiescent()
+
+    def test_all_idle_and_balanced_is_quiescent(self):
+        runner = self.idle_runner()
+        self.report(runner, 1, sent=(0, 0, 1), recv=(0, 0, 0))
+        self.report(runner, 2, sent=(0, 0, 0), recv=(0, 1, 0))
+        assert runner.quiescent()
+        assert runner.floor() == float("inf")
+        messages = []
+        runner.flush(lambda peer, message: messages.append((peer, message)))
+        assert [peer for peer, _ in messages] == [1, 2]
+        assert all(message[0] == float("inf") for _, message in messages)
 
 
 class TestMerge:
@@ -117,6 +214,8 @@ class TestMerge:
 
 class TestHorizon:
     def test_end_of_time_bounds_the_last_event(self):
+        """The horizon is a tripwire, not the termination rule; it must
+        still bound every real event."""
         spec = resolve_topology(TINY)
         assert serial(TINY)["now"] < city_end_of_time(spec)
 
