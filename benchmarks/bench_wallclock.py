@@ -1,91 +1,43 @@
-"""Wall-clock perf bench: events/sec of the simulation kernel.
+"""The three engine gates: churn race, trajectory and ratchet.
 
-Not a paper figure — this measures the *harness itself* (see Becker et al.
-on unmeasured emulation overhead corrupting reproduction claims).  It runs
-the fig5 ping-pong, fig8a streaming, and fig8b 8-sink workloads on the fast
-engine and the engine-churn microbenchmark on both the fast and the legacy
-engine, prints a table, and appends the record to ``BENCH_wallclock.json``
-so the perf trajectory is tracked across PRs.
+Not a paper figure and not the host-cost benchmark (that is
+``hostbench/``).  This script guards the simulation kernel's fast path
+against the pinned values in :mod:`repro.bench.perfbench`:
 
-Run directly (not collected by the tier-1 suite)::
+1. churn race — the fast engine's events/s on the engine-churn stream is
+   at least ``CHURN_MIN_SPEEDUP`` times the legacy engine's;
+2. trajectory — a tracing-off fig8a run gives the pinned event count and
+   final sim time exactly, within ``TRAJECTORY_WALL_FACTOR`` of the
+   recorded wall time;
+3. ratchet — fast-engine churn reaches the recorded events/s floor
+   (skipped when ``INSANE_PERF_RATCHET_SKIP`` is set).
 
-    PYTHONPATH=src python benchmarks/bench_wallclock.py           # smoke
-    PYTHONPATH=src python benchmarks/bench_wallclock.py --full    # paper-scale
+It takes no arguments, prints one line per check and exits non-zero if
+any check fails.  Run directly (not collected by the tier-1 suite)::
+
+    PYTHONPATH=src python benchmarks/bench_wallclock.py
 """
 
 import argparse
 import sys
 
 from repro.bench.perfbench import (
+    check_churn_speedup,
     check_ratchet,
     check_trajectory,
-    run_suite,
-    summary_lines,
-    write_report,
 )
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="Measure simulation-kernel events/sec on the paper workloads."
-    )
-    parser.add_argument("--full", action="store_true",
-                        help="paper-scale message counts (slower)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--json", metavar="PATH", default="BENCH_wallclock.json",
-                        help="perf-trajectory report to append to")
-    parser.add_argument("--min-churn-speedup", type=float, default=None,
-                        help="exit non-zero if the engine-churn events/sec "
-                             "speedup falls below this")
-    parser.add_argument("--reps", type=int, default=3,
-                        help="repetitions per measurement (best wall kept)")
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="shard the paper-workload measurements "
-                             "across N worker processes; keep N at or below "
-                             "the free core count so wall clocks stay clean")
-    parser.add_argument("--trajectory", action="store_true",
-                        help="no-op-hook check only: rerun fig8a tracing-off "
-                             "and compare against the committed report")
-    parser.add_argument("--wall-factor", type=float, default=3.0,
-                        help="allowed wall-clock factor for --trajectory")
-    parser.add_argument("--ratchet", action="store_true",
-                        help="perf-ratchet check only: rerun engine_churn on "
-                             "the fast engine and fail if events/sec falls "
-                             "below the floor derived from the committed "
-                             "report (INSANE_PERF_RATCHET_SKIP=1 skips)")
-    args = parser.parse_args(argv)
-
-    if args.trajectory:
-        ok, lines = check_trajectory(path=args.json, reps=args.reps,
-                                     wall_factor=args.wall_factor)
+def main():
+    # no options: this only gives --help and rejects stale flags loudly
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
+    failed = 0
+    for check in (check_churn_speedup, check_trajectory, check_ratchet):
+        ok, lines = check()
         for line in lines:
             print(line)
-        return 0 if ok else 1
-
-    if args.ratchet:
-        ok, lines = check_ratchet(path=args.json, reps=args.reps)
-        for line in lines:
-            print(line)
-        return 0 if ok else 1
-
-    record = run_suite(full=args.full, seed=args.seed, reps=args.reps,
-                       workers=args.workers)
-    for line in summary_lines(record):
-        print(line)
-    write_report(record, path=args.json)
-    print("perf record appended to %s" % args.json)
-
-    churn = record["suite"]["engine_churn"]
-    if not churn["identical_stream"]:
-        print("ERROR: engines diverged on the churn event stream")
-        return 1
-    if args.min_churn_speedup is not None:
-        speedup = churn["speedup_events_per_sec"]
-        if speedup < args.min_churn_speedup:
-            print("ERROR: engine-churn events/sec speedup %.2fx < "
-                  "required %.2fx" % (speedup, args.min_churn_speedup))
-            return 1
-    return 0
+        failed += not ok
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

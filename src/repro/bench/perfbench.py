@@ -1,30 +1,24 @@
-"""Wall-clock performance harness for the simulation kernel.
+"""Engine workloads and the three engine gates.
 
-Every figure in this reproduction funnels through :mod:`repro.simnet`, so
-*wall-clock* throughput (events/sec) — not simulated time — bounds how many
-messages, sinks, and sweeps a run can afford.  This module measures it on a
-fixed suite of paper workloads and records the trajectory in
-``BENCH_wallclock.json`` so perf regressions are visible PR over PR.
+The host cost of the whole simulator is measured by ``hostbench/``; this
+module keeps only what a correctness role or an engine gate reads:
 
-The paper workloads run on the fast engine
-(:class:`repro.simnet.Simulator`).  The engine-churn microbenchmark runs
-on both the fast and the legacy engine
-(:class:`repro.simnet.legacy.LegacySimulator`): the two execute the
-identical event stream, so its speedup is a pure event-loop comparison.
-``run_workload(..., engine="legacy")`` runs a paper workload on the legacy
-engine; its simulated results must be bit-identical to the fast engine's
-(the golden-trace tests in ``tests/simnet/test_determinism.py``).
-
-Usage::
-
-    python benchmarks/bench_wallclock.py            # reduced-message smoke
-    python benchmarks/bench_wallclock.py --full     # paper-scale counts
+* :data:`SUITE` and :func:`run_workload` -- the fig5 ping-pong, fig8a
+  streaming and fig8b 8-sink workloads.  They feed the golden corpus
+  ``engine`` section (:mod:`repro.validate.golden`) and the fast-vs-legacy
+  golden traces in ``tests/simnet/test_determinism.py``: only the event
+  loop differs between engines, so simulated results must be
+  bit-identical.
+* :func:`run_churn` -- the engine-churn microbenchmark, the identical
+  event stream on the fast :class:`repro.simnet.Simulator` and the legacy
+  :class:`repro.simnet.legacy.LegacySimulator`, so its speedup is a pure
+  event-loop comparison.
+* :func:`check_churn_speedup`, :func:`check_trajectory` and
+  :func:`check_ratchet` -- the gates ``benchmarks/bench_wallclock.py``
+  runs, against the pinned constants below.
 """
 
-import hashlib
-import json
 import os
-import platform
 import time
 
 from repro.bench.harness import InsaneBenchApp
@@ -44,15 +38,13 @@ SUITE = {
 
 ENGINES = {"fast": Simulator, "legacy": LegacySimulator}
 
-#: smoke-mode iteration counts (CI); --full uses paper-scale counts.
+#: default iteration counts of :func:`run_workload`
 QUICK_ROUNDS = 400
 QUICK_MESSAGES = 3000
-FULL_ROUNDS = 2000
-FULL_MESSAGES = 20000
 
-#: repetitions per measurement in :func:`run_suite` — wall time is
-#: best-of-N because scheduler noise only ever adds time, never removes it.
-SUITE_REPS = 3
+#: repetitions per gate measurement — wall time is best-of-N because
+#: scheduler noise only ever adds time, never removes it.
+GATE_REPS = 3
 
 #: engine-churn microbenchmark: enough events to swamp setup noise, small
 #: enough for a CI smoke run.
@@ -214,7 +206,7 @@ def run_churn(engine="fast", events=CHURN_EVENTS, seed=0, reps=1):
     stream — on the legacy engine every chain step is a normally-scheduled
     heap event, on the fast engine steps run inline when provably next —
     so event counts and final simulated time must match exactly (asserted
-    by ``run_suite`` as ``identical_stream``).
+    by :func:`check_churn_speedup`).
 
     ``events`` is a budget: each tick accounts CHURN_BURST + 1 executed
     events (the tick plus its chain steps), and ticks stop once the budget
@@ -256,261 +248,113 @@ def _run_churn_once(engine, events, seed):
     }
 
 
-def run_suite(full=False, seed=0, reps=SUITE_REPS, workers=1):
-    """Run the whole suite; returns the record written to the report.
+# -- the engine gates ---------------------------------------------------------
+#
+# Every value below comes from the last entry of the retired wall-clock
+# history: host ``vm``, CPython 3.11.7, 2026-08-09; quick mode, seed 0,
+# best-of-3.
+# The wall-clock gates are loose on purpose: CI runners are shared and
+# slow, so they catch "the batched hot path stopped engaging" (a many-x
+# cliff), not percent-level drift.
 
-    ``workers`` shards the paper-workload measurements across processes
-    via ``bench.perf`` sweep cells — each worker owns whole cores, so
-    per-measurement wall clocks stay meaningful.  Perf cells are never
-    cached: wall time is the measurement.
-    """
-    rounds = FULL_ROUNDS if full else QUICK_ROUNDS
-    messages = FULL_MESSAGES if full else QUICK_MESSAGES
-    measured = {}
-    if workers > 1:
-        from repro.parallel.cells import make_cell
-        from repro.parallel.executor import SweepExecutor
+#: fast-engine events/s must be at least this multiple of the legacy
+#: engine's on the identical churn stream
+CHURN_MIN_SPEEDUP = 2.5
 
-        cells = [
-            make_cell("bench.perf", workload=name, rounds=rounds,
-                      messages=messages, seed=seed, reps=reps)
-            for name in SUITE
-        ]
-        sweep = SweepExecutor(workers=workers).run(cells)
-        for result in sweep.results:
-            measured[result.cell["params"]["workload"]] = result.payload
-    else:
-        for name in SUITE:
-            measured[name] = run_workload(
-                name, rounds=rounds, messages=messages, seed=seed, reps=reps,
-            )
-    suite = {name: {"fast": measured[name]} for name in SUITE}
-    # the engine-only microbenchmark: no stack code, and the identical
-    # event stream on both engines, so the speedup is the event loop's
-    fast = run_churn("fast", seed=seed, reps=reps)
-    legacy = run_churn("legacy", seed=seed, reps=reps)
-    suite["engine_churn"] = {
-        "fast": fast,
-        "legacy": legacy,
-        "speedup_events_per_sec": (
-            fast["events_per_sec"] / legacy["events_per_sec"]
-            if legacy["events_per_sec"] else 0.0
-        ),
-        "speedup_wall": (
-            legacy["wall_s"] / fast["wall_s"] if fast["wall_s"] else 0.0
-        ),
-        "identical_stream": (
-            fast["events"] == legacy["events"]
-            and fast["sim_ns"] == legacy["sim_ns"]
-        ),
-    }
-    return {
-        "mode": "full" if full else "quick",
-        "seed": seed,
-        "rounds": rounds,
-        "messages": messages,
-        "reps": reps,
-        "workers": workers,
-        "suite": suite,
-    }
+#: the tracing-off trajectory run: fig8a streaming at
+#: :func:`run_workload`'s defaults (fast engine, 3000 messages, seed 0)
+TRAJECTORY_WORKLOAD = "fig8a_streaming"
+#: its simulated outcome, which must match exactly
+TRAJECTORY_EVENTS = 30206
+TRAJECTORY_SIM_NS = 978055.2258978866
+#: its recorded wall time, and the factor a rerun may take at most
+TRAJECTORY_WALL_S = 0.06893787199987855
+TRAJECTORY_WALL_FACTOR = 5.0
 
-
-def check_trajectory(path="BENCH_wallclock.json", workload="fig8a_streaming",
-                     wall_factor=3.0, reps=SUITE_REPS):
-    """The no-op-hook check: a tracing-off run vs the committed trajectory.
-
-    Re-runs ``workload`` with the same parameters as the newest committed
-    record and compares against its ``fast`` entry: the simulated outcome
-    (event count, final sim time) must match **exactly** — the lifecycle
-    hooks added for ``repro.obs`` are inert when no tracer is configured —
-    and wall clock must stay within ``wall_factor`` (loose, so the check
-    holds across machines; the trend lives in the appended history).
-
-    Returns ``(ok, lines)``.
-    """
-    lines = []
-    if not os.path.exists(path):
-        return False, ["trajectory: no committed report at %s" % path]
-    with open(path) as handle:
-        runs = json.load(handle)
-    if not isinstance(runs, list):
-        runs = [runs]
-    baseline_run = next(
-        (run for run in reversed(runs) if workload in run.get("suite", {})),
-        None,
-    )
-    if baseline_run is None:
-        return False, ["trajectory: no committed %s record" % workload]
-    baseline = baseline_run["suite"][workload]["fast"]
-    current = run_workload(
-        workload, "fast",
-        rounds=baseline_run.get("rounds", QUICK_ROUNDS),
-        messages=baseline_run.get("messages", QUICK_MESSAGES),
-        seed=baseline_run.get("seed", 0),
-        reps=reps,
-    )
-    ok = True
-    if current["events"] != baseline["events"]:
-        ok = False
-        lines.append(
-            "trajectory: %s executed %d events, committed record has %d "
-            "(tracing-off hooks must not change the simulation)"
-            % (workload, current["events"], baseline["events"])
-        )
-    if current["sim_ns"] != baseline["sim_ns"]:
-        ok = False
-        lines.append(
-            "trajectory: %s ended at sim_ns=%r, committed record has %r"
-            % (workload, current["sim_ns"], baseline["sim_ns"])
-        )
-    ratio = (current["wall_s"] / baseline["wall_s"]
-             if baseline["wall_s"] > 0 else float("inf"))
-    if ratio > wall_factor:
-        ok = False
-        lines.append(
-            "trajectory: %s wall %.3fs is %.2fx the committed %.3fs "
-            "(allowed factor %.1f)"
-            % (workload, current["wall_s"], ratio, baseline["wall_s"],
-               wall_factor)
-        )
-    lines.append(
-        "trajectory: %s events=%d (committed %d), wall %.3fs vs %.3fs "
-        "(%.2fx) -> %s"
-        % (workload, current["events"], baseline["events"],
-           current["wall_s"], baseline["wall_s"], ratio,
-           "OK" if ok else "FAIL")
-    )
-    return ok, lines
-
-
-#: the perf ratchet fails when a fast-engine churn run falls below this
-#: fraction of the newest committed events/sec — generous on purpose: CI
-#: runners are shared and slow relative to the machines that append
-#: BENCH_wallclock.json entries, so the ratchet catches "the batched hot
-#: path stopped engaging" (a many-x cliff), not percent-level drift.
+#: recorded fast-engine churn events/s, and the fraction of it a rerun
+#: must reach
+RATCHET_EVENTS_PER_S = 5_628_279.104572232
 RATCHET_FLOOR_FRACTION = 0.25
 
 #: set (to anything non-empty) to skip the ratchet, e.g. on a machine
-#: known to be much slower than the committed baseline's host
+#: known to be much slower than the recorded host
 RATCHET_SKIP_ENV = "INSANE_PERF_RATCHET_SKIP"
 
 
-def check_ratchet(path="BENCH_wallclock.json",
-                  floor_fraction=RATCHET_FLOOR_FRACTION, reps=SUITE_REPS):
-    """The perf ratchet: fast-engine churn vs the committed trajectory.
+def check_churn_speedup():
+    """The churn race: both engines on one stream, fast >= 2.5x legacy.
 
-    Reruns the ``engine_churn`` microbenchmark on the fast engine and
-    fails when its events/sec lands below ``floor_fraction`` of the newest
-    committed record's.  Setting :data:`RATCHET_SKIP_ENV` in the
+    Returns ``(ok, lines)``.
+    """
+    fast = run_churn("fast", reps=GATE_REPS)
+    legacy = run_churn("legacy", reps=GATE_REPS)
+    identical = (fast["events"] == legacy["events"]
+                 and fast["sim_ns"] == legacy["sim_ns"])
+    speedup = fast["events_per_sec"] / legacy["events_per_sec"]
+    ok = identical and speedup >= CHURN_MIN_SPEEDUP
+    lines = [
+        "churn: fast %.3f Mev/s vs legacy %.3f Mev/s = %.2fx "
+        "(required %.1fx), identical stream %s -> %s"
+        % (fast["events_per_sec"] / 1e6, legacy["events_per_sec"] / 1e6,
+           speedup, CHURN_MIN_SPEEDUP, "yes" if identical else "NO",
+           "OK" if ok else "FAIL")
+    ]
+    return ok, lines
+
+
+def check_trajectory():
+    """The no-op-hook check: a tracing-off fig8a run vs the pinned record.
+
+    The simulated outcome (event count, final sim time) must match
+    **exactly** — the lifecycle hooks added for ``repro.obs`` are inert
+    when no tracer is configured — and wall clock must stay within
+    :data:`TRAJECTORY_WALL_FACTOR` of the recorded run.
+
+    Returns ``(ok, lines)``.
+    """
+    current = run_workload(TRAJECTORY_WORKLOAD, reps=GATE_REPS)
+    ratio = current["wall_s"] / TRAJECTORY_WALL_S
+    ok = (current["events"] == TRAJECTORY_EVENTS
+          and current["sim_ns"] == TRAJECTORY_SIM_NS
+          and ratio <= TRAJECTORY_WALL_FACTOR)
+    lines = [
+        "trajectory: %s events=%d sim_ns=%r (pinned %d, %r), wall %.3fs "
+        "vs %.3fs (%.2fx, allowed %.1fx) -> %s"
+        % (TRAJECTORY_WORKLOAD, current["events"], current["sim_ns"],
+           TRAJECTORY_EVENTS, TRAJECTORY_SIM_NS, current["wall_s"],
+           TRAJECTORY_WALL_S, ratio, TRAJECTORY_WALL_FACTOR,
+           "OK" if ok else "FAIL")
+    ]
+    return ok, lines
+
+
+def check_ratchet():
+    """The perf ratchet: fast-engine churn events/s above a fixed floor.
+
+    Fails when the rerun lands below :data:`RATCHET_FLOOR_FRACTION` of
+    :data:`RATCHET_EVENTS_PER_S`.  Setting :data:`RATCHET_SKIP_ENV` in the
     environment skips the check (returns ok with a note).
 
     Returns ``(ok, lines)``.
     """
     if os.environ.get(RATCHET_SKIP_ENV):
         return True, ["ratchet: skipped (%s is set)" % RATCHET_SKIP_ENV]
-    if not os.path.exists(path):
-        return False, ["ratchet: no committed report at %s" % path]
-    with open(path) as handle:
-        runs = json.load(handle)
-    if not isinstance(runs, list):
-        runs = [runs]
-    baseline_run = next(
-        (run for run in reversed(runs)
-         if "engine_churn" in run.get("suite", {})),
-        None,
-    )
-    if baseline_run is None:
-        return False, ["ratchet: no committed engine_churn record"]
-    committed = baseline_run["suite"]["engine_churn"]["fast"]["events_per_sec"]
-    floor = committed * floor_fraction
-    current = run_churn("fast", seed=baseline_run.get("seed", 0), reps=reps)
+    floor = RATCHET_EVENTS_PER_S * RATCHET_FLOOR_FRACTION
+    current = run_churn("fast", reps=GATE_REPS)
     ok = current["events_per_sec"] >= floor
     lines = [
-        "ratchet: engine_churn fast %.3f Mev/s vs committed %.3f Mev/s "
+        "ratchet: engine_churn fast %.3f Mev/s vs recorded %.3f Mev/s "
         "(floor %.3f = %.0f%%) -> %s"
-        % (current["events_per_sec"] / 1e6, committed / 1e6, floor / 1e6,
-           floor_fraction * 100, "OK" if ok else "FAIL")
+        % (current["events_per_sec"] / 1e6, RATCHET_EVENTS_PER_S / 1e6,
+           floor / 1e6, RATCHET_FLOOR_FRACTION * 100,
+           "OK" if ok else "FAIL")
     ]
     if not ok:
         lines.append(
-            "ratchet: the batched hot path is likely not engaging — "
-            "profile with 'insane bench profile --workload engine_churn' "
-            "(or set %s on a known-slow machine)" % RATCHET_SKIP_ENV
+            "ratchet: the batched hot path is likely not engaging — run "
+            "tests/simnet/test_burst.py::test_churn_chains_run_inline, or "
+            "attribute with 'python3 hostbench/run.py --workload paper_figs "
+            "--trace 1' (or set %s on a known-slow machine)"
+            % RATCHET_SKIP_ENV
         )
     return ok, lines
-
-
-def record_digest(record):
-    """sha256 over the *measurement* fields of one run record.
-
-    The ``meta`` block (wall-clock timestamp, host identity) is excluded:
-    two same-seed runs of the same code produce the same digest, so
-    record-level comparisons and git diffs are not churned by when or
-    where a run happened.
-    """
-    stripped = {k: v for k, v in record.items() if k != "meta"}
-    text = json.dumps(stripped, sort_keys=True, separators=(",", ":"),
-                      default=repr)
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def write_report(record, path="BENCH_wallclock.json"):
-    """Append ``record`` to the perf-trajectory report, atomically.
-
-    The file holds a list of run records (newest last) so every PR extends
-    the recorded trajectory instead of erasing it.  The write goes through
-    a ``.tmp`` sibling + ``os.replace`` so a crashed run never corrupts
-    history.
-
-    Wall-clock and host facts go into a separate ``meta`` block —
-    :func:`record_digest` and the ``--trajectory`` check compare
-    measurement fields only, so re-running the bench never churns a
-    digest (or a git diff) merely because time passed.
-    """
-    record = dict(record)
-    meta = dict(record.get("meta") or {})
-    meta.setdefault("unix_time", time.time())
-    meta.setdefault("host", platform.node())
-    meta.setdefault("python", platform.python_version())
-    record["meta"] = meta
-    runs = []
-    if os.path.exists(path):
-        with open(path) as handle:
-            try:
-                runs = json.load(handle)
-            except ValueError:
-                runs = []
-        if not isinstance(runs, list):
-            runs = [runs]
-    runs.append(record)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        json.dump(runs, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, path)
-    return record
-
-
-def summary_lines(record):
-    """Human-readable table of one run record."""
-    lines = [
-        "%-18s %10s %12s %12s %9s %9s" % (
-            "workload", "config", "wall (s)", "events", "Mev/s", "speedup"
-        )
-    ]
-    for name, entry in record["suite"].items():
-        for engine in ("fast", "legacy"):
-            if engine not in entry:
-                continue
-            row = entry[engine]
-            speedup = ""
-            if engine == "fast" and "speedup_events_per_sec" in entry:
-                speedup = "%.2fx" % entry["speedup_events_per_sec"]
-            lines.append("%-18s %10s %12.3f %12d %9.3f %9s" % (
-                name, engine, row["wall_s"], row["events"],
-                row["events_per_sec"] / 1e6, speedup,
-            ))
-        if "identical_stream" in entry:
-            lines.append("%-18s %10s identical_stream=%s" % (
-                "", "", entry["identical_stream"]))
-    return lines

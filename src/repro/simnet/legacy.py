@@ -1,12 +1,12 @@
 """The pre-overhaul event loop, kept as a measurable reference.
 
 This module preserves the original object-per-event :class:`LegacySimulator`
-so that the wall-clock performance harness (:mod:`repro.bench.perfbench`)
-and the golden-trace determinism tests can run the *same* workloads on both
+so that the engine gates (:mod:`repro.bench.perfbench`) and the
+golden-trace determinism tests can run the *same* workloads on both
 engines and compare:
 
-* events/sec and wall seconds — the engine-churn speedup recorded in
-  ``BENCH_wallclock.json`` is measured, not asserted;
+* events/sec — the engine-churn race gates the fast engine at a fixed
+  minimum speedup over this one;
 * simulated results — the fast engine must produce bit-identical
   ``(now, executed, failures)`` and statistics for identical seeds, which
   is only provable against an independent implementation.

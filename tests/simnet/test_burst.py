@@ -5,11 +5,13 @@ lane, no earlier heap event) or as normally-scheduled events (legacy
 engine, contention, an installed observer).  These tests pin the
 equivalence: both modes produce the same per-step timestamps, the same
 rng draw order, the same executed-event totals, and the same failure
-accounting.
+accounting.  One more pins that inlining actually engages on the
+engine-churn stream, counted in dispatches rather than wall time.
 """
 
 import pytest
 
+from repro.bench import perfbench
 from repro.simnet import ChargeChain, Simulator
 from repro.simnet.legacy import LegacySimulator
 
@@ -230,3 +232,38 @@ def test_lane_contention_falls_back_to_scheduled_steps():
     fast = run(Simulator(seed=5))
     legacy = run(LegacySimulator(seed=5))
     assert fast == legacy
+
+
+def _churn_step_counts(engine, monkeypatch):
+    """Run the engine-churn stream with a chain that counts ``_step``
+    dispatches (steps the engine scheduled and popped) and ``_act`` calls
+    (every step, inline or dispatched)."""
+    counts = {"dispatches": 0, "acts": 0}
+    base = perfbench._ChurnChain
+
+    class _CountingChain(base):
+        __slots__ = ()
+
+        def _step(self):
+            counts["dispatches"] += 1
+            base._step(self)
+
+        def _act(self, record):
+            counts["acts"] += 1
+            base._act(self, record)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(perfbench, "_ChurnChain", _CountingChain)
+        perfbench.run_churn(engine, events=20_000, seed=1)
+    return counts
+
+
+def test_churn_chains_run_inline(monkeypatch):
+    """The batched inline path engages: on the fast engine most churn
+    steps run inside an already-dispatched ``_step`` (about 7% are
+    dispatched), while the legacy engine dispatches every one."""
+    fast = _churn_step_counts("fast", monkeypatch)
+    legacy = _churn_step_counts("legacy", monkeypatch)
+    assert fast["acts"] == legacy["acts"] > 0
+    assert fast["dispatches"] <= 0.10 * fast["acts"]
+    assert legacy["dispatches"] == legacy["acts"]

@@ -9,7 +9,13 @@ it on the paper workloads the perf harness measures.
 
 import pytest
 
-from repro.bench.perfbench import run_churn, run_workload
+from repro.bench.perfbench import (
+    TRAJECTORY_EVENTS,
+    TRAJECTORY_SIM_NS,
+    TRAJECTORY_WORKLOAD,
+    run_churn,
+    run_workload,
+)
 from repro.simnet import Simulator
 
 # reduced iteration counts: these tests assert identity, not throughput
@@ -57,6 +63,15 @@ def test_churn_stream_identical_across_engines():
     legacy = run_churn("legacy", events=20_000, seed=1)
     assert fast["events"] == legacy["events"]
     assert fast["sim_ns"] == legacy["sim_ns"]
+
+
+def test_trajectory_run_matches_pinned_constants():
+    """The no-op-hook guarantee: a tracing-off fig8a run executes the
+    pinned event count and ends at the pinned sim time, exactly (the
+    exact half of the trajectory gate in benchmarks/bench_wallclock.py)."""
+    record = run_workload(TRAJECTORY_WORKLOAD)
+    assert record["events"] == TRAJECTORY_EVENTS
+    assert record["sim_ns"] == TRAJECTORY_SIM_NS
 
 
 def test_cancelled_timers_keep_heap_bounded():
